@@ -21,6 +21,10 @@ from repro.circuits.gates import Gate
 class Circuit:
     """An ordered sequence of gates on a fixed-size qubit register."""
 
+    #: Canonical fingerprint memoized by :mod:`repro.exec.keys`; reset by
+    #: :meth:`append`.
+    _fingerprint: Optional[Tuple] = None
+
     def __init__(self, num_qubits: int, gates: Optional[Iterable[Gate]] = None):
         if num_qubits <= 0:
             raise ValueError(f"num_qubits must be positive, got {num_qubits}")
@@ -41,6 +45,7 @@ class Circuit:
                     f"{self.num_qubits}"
                 )
         self._gates.append(gate)
+        self._fingerprint = None
 
     def extend(self, gates: Iterable[Gate]) -> None:
         for gate in gates:
@@ -79,6 +84,14 @@ class Circuit:
         if not isinstance(other, Circuit):
             return NotImplemented
         return self.num_qubits == other.num_qubits and self._gates == other._gates
+
+    def __getstate__(self) -> Dict:
+        # The memoized fingerprint is derived data; keep pickled circuits
+        # (compile cache entries, task payloads) byte-stable whether or not
+        # a key was computed before pickling.
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     # -- structural metrics --------------------------------------------------
 

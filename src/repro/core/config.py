@@ -46,7 +46,10 @@ class CompilerConfig:
     #: Gate-count units charged per routing SWAP in reported metrics.
     swap_gate_cost: int = 3
     #: Hard cap on scheduler timesteps, as a multiple of (gates + 1); a
-    #: compile exceeding it raises instead of looping forever.
+    #: compile exceeding it raises instead of looping forever.  Routing
+    #: cycles (a layout repeating with no gate completed) are caught
+    #: exactly and much sooner; this budget is the backstop for runs that
+    #: make no progress without ever repeating a layout.
     max_timestep_factor: int = 200
 
     def __post_init__(self) -> None:

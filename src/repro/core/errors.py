@@ -10,4 +10,5 @@ class DisconnectedTopologyError(CompilationError):
 
 
 class SchedulingStalledError(CompilationError):
-    """The scheduler stopped making progress (safety valve tripped)."""
+    """The scheduler stopped making progress: the routing cycled through a
+    repeated layout, or the timestep budget ran out."""

@@ -191,6 +191,27 @@ class CompiledProgram:
     def multiqubit_ops(self) -> List[ScheduledOp]:
         return [op for op in self.ops if op.is_multiqubit]
 
+    def multiqubit_site_groups(
+        self,
+    ) -> Tuple[List[ScheduledOp], List[Tuple[Tuple[int, ...], List[int]]]]:
+        """Multiqubit ops grouped by their distinct site tuple, cached.
+
+        Returns ``(ops, groups)``: ``ops`` is :meth:`multiqubit_ops` and
+        ``groups`` lists each distinct ``sites`` tuple (in order of first
+        appearance) with the positions in ``ops`` of the ops using it.
+        Distance checks after a remap depend only on the sites, so loss
+        strategies test each tuple once instead of once per op.
+        """
+        memo = self.__dict__.get("_site_groups")
+        if memo is None:
+            ops = self.multiqubit_ops()
+            by_sites: Dict[Tuple[int, ...], List[int]] = {}
+            for position, op in enumerate(ops):
+                by_sites.setdefault(op.sites, []).append(position)
+            memo = (ops, list(by_sites.items()))
+            self.__dict__["_site_groups"] = memo
+        return memo
+
     # -- export -----------------------------------------------------------------------
 
     def to_physical_circuit(self) -> Circuit:
@@ -230,6 +251,7 @@ class CompiledProgram:
         state.pop("_arity_counts", None)
         state.pop("_profiles", None)
         state.pop("_duration_memo", None)
+        state.pop("_site_groups", None)
         return state
 
     def __repr__(self) -> str:

@@ -10,10 +10,18 @@ program order:
    busy-site constraints ("the SWAP is executed if it can run parallel
    with the other executable operations, otherwise we must wait").
 
-SWAP effects apply between timesteps (parallel semantics).  A safety
-valve raises :class:`SchedulingStalledError` if the loop exceeds a
-generous timestep budget, which in practice only happens on disconnected
-topologies that slipped past the router.
+SWAP effects apply between timesteps (parallel semantics).
+
+Two guards raise :class:`SchedulingStalledError` instead of looping
+forever.  What a timestep does is a pure function of the layout and the
+frontier (lookahead weights, zones and SWAP proposals read nothing else),
+and the frontier only changes when a gate completes.  So when the layout
+repeats within a run of timesteps that complete no gate, the router is
+cycling and would never finish; that is detected exactly, the first time
+the layout recurs.  Such cycles, typically a SWAP undone by the next
+one, are how compiles stall on hole-riddled topologies (recompilation
+after atom loss).  The ``max_timestep_factor`` budget stays as the
+backstop for runs that wander without ever repeating a layout.
 """
 
 from __future__ import annotations
@@ -78,6 +86,12 @@ def schedule_circuit(
             )
             cached_num_done = frontier.num_done
         return cached_weights
+
+    #: layout a SWAP-only timestep started from -> that timestep, since
+    #: the last timestep that completed a gate.  ``phi`` keeps its key
+    #: order (SWAPs only reassign values), so its value tuple identifies
+    #: the layout.
+    seen_layouts: Dict[Tuple[int, ...], int] = {}
 
     while not frontier.all_done():
         if len(schedule) >= max_timesteps:
@@ -152,6 +166,22 @@ def schedule_circuit(
         # Commit: mark gates done, then apply SWAP permutations.
         for idx in completed:
             frontier.complete(idx)
+        if completed:
+            seen_layouts.clear()
+        else:
+            # Only layouts of timesteps that complete no gate can recur
+            # in a cycle, so only those are snapshotted; clean compiles
+            # complete a gate in most timesteps and pay almost nothing.
+            first_seen = seen_layouts.setdefault(
+                tuple(phi.values()), timestep_index
+            )
+            if first_seen != timestep_index:
+                raise SchedulingStalledError(
+                    f"routing livelock: the layout at timestep "
+                    f"{timestep_index} repeats timestep {first_seen} with no "
+                    f"gate completed ({frontier.num_done}/{len(dag)} gates "
+                    "scheduled)"
+                )
         for site_a, site_b in pending_swaps:
             _apply_swap(phi, inverse_phi, site_a, site_b)
         schedule.append(ops)

@@ -47,7 +47,13 @@ def circuit_fingerprint(circuit: Circuit) -> Tuple:
     relative list order is semantically irrelevant; each layer is sorted
     into a canonical order.  Across layers, order is the dependency
     structure itself and is preserved.
+
+    Memoized on the circuit (the loss loop keys the same source circuit
+    on every recompile); :meth:`Circuit.append` drops the memo.
     """
+    fingerprint = circuit._fingerprint
+    if fingerprint is not None:
+        return fingerprint
     gates = circuit.gates
     layers = []
     for layer_indices in circuit.layers():
@@ -56,7 +62,9 @@ def circuit_fingerprint(circuit: Circuit) -> Tuple:
             for i in layer_indices
         )
         layers.append(tuple(layer))
-    return ("circuit", circuit.num_qubits, tuple(layers))
+    fingerprint = ("circuit", circuit.num_qubits, tuple(layers))
+    circuit._fingerprint = fingerprint
+    return fingerprint
 
 
 def topology_fingerprint(topology: Topology) -> Tuple:

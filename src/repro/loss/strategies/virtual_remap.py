@@ -71,24 +71,32 @@ class VirtualRemap(CopingStrategy):
     # -- violation scanning -----------------------------------------------------------------
 
     def _violated_ops(self) -> List[ScheduledOp]:
-        """Scheduled multiqubit ops whose remapped operands overstretch."""
+        """Scheduled multiqubit ops whose remapped operands overstretch,
+        in program order.
+
+        Each distinct operand-site tuple is checked once; every op using
+        a violating tuple is reported.
+        """
         limit = self._distance_limit() + 1e-9
-        grid = self.topology.grid
+        rows = self.topology.grid.distance_rows()
         translate = self.virtual_map.role_to_site
-        violated = []
-        for op in self.program.multiqubit_ops():
-            sites = [translate[s] for s in op.sites]
-            too_far = False
-            for i in range(len(sites)):
-                for j in range(i + 1, len(sites)):
-                    if grid.distance(sites[i], sites[j]) > limit:
-                        too_far = True
-                        break
-                if too_far:
-                    break
+        ops, groups = self.program.multiqubit_site_groups()
+        violated_positions: List[int] = []
+        for sites, positions in groups:
+            if len(sites) == 2:
+                a, b = sites
+                too_far = rows[translate[a]][translate[b]] > limit
+            else:
+                physical = [translate[s] for s in sites]
+                too_far = any(
+                    rows[physical[i]][physical[j]] > limit
+                    for i in range(len(physical))
+                    for j in range(i + 1, len(physical))
+                )
             if too_far:
-                violated.append(op)
-        return violated
+                violated_positions.extend(positions)
+        violated_positions.sort()
+        return [ops[i] for i in violated_positions]
 
     def _handle_violations(
         self, violated: List[ScheduledOp], remap_updates: int

@@ -6,7 +6,7 @@ from repro.circuits import Circuit
 from repro.circuits.gates import cx, h
 from repro.core import CompilerConfig, compile_circuit
 from repro.core.result import ScheduledOp
-from repro.core.errors import SchedulingStalledError
+from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
 from repro.core.scheduler import schedule_circuit
 from repro.hardware import NoiseModel, Topology
 from repro.workloads import bernstein_vazirani
@@ -103,7 +103,7 @@ class TestSchedulerGuards:
                              CompilerConfig(max_interaction_distance=1.0),
                              {0: 0, 1: 0})
 
-    def test_stall_guard_trips(self):
+    def test_disconnected_islands_raise_disconnected_topology(self):
         # A gate between two disconnected islands, fed directly to the
         # scheduler with a pathological mapping, must raise rather than
         # loop forever.
@@ -113,8 +113,16 @@ class TestSchedulerGuards:
         circuit = Circuit(2, [cx(0, 1)])
         config = CompilerConfig(max_interaction_distance=1.0,
                                 max_timestep_factor=5)
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises(DisconnectedTopologyError):
             schedule_circuit(circuit, topo, config, {0: 0, 1: 2})
-        assert isinstance(
-            exc_info.value, (SchedulingStalledError, RuntimeError)
-        )
+
+    def test_timestep_budget_trips(self):
+        # Corner to corner on a 3x3 MID-1 grid takes three SWAP timesteps
+        # and never repeats a layout; a budget of 1 x (gates + 1) = 2
+        # timesteps must stop it through the backstop valve.
+        topo = Topology.square(3, 1.0)
+        circuit = Circuit(2, [cx(0, 1)])
+        config = CompilerConfig(max_interaction_distance=1.0,
+                                max_timestep_factor=1)
+        with pytest.raises(SchedulingStalledError, match="after 2 timesteps"):
+            schedule_circuit(circuit, topo, config, {0: 0, 1: 8})

@@ -11,6 +11,7 @@ The contract under test:
 """
 
 import dataclasses
+import pickle
 import subprocess
 import sys
 
@@ -137,6 +138,20 @@ def test_appending_a_gate_changes_key(circuit):
     extended = circuit.copy()
     extended.append(Gate("y", (0,)))
     assert compile_key(extended, topology, config) != before
+
+
+def test_memoized_fingerprint_tracks_appends_in_place():
+    # The fingerprint is memoized on the circuit; appending to the *same*
+    # object must drop the memo, and a pickled circuit must not carry it.
+    circuit, topology, config = _reference_inputs()
+    before = compile_key(circuit, topology, config)
+    fresh_copy = circuit.copy()
+    circuit.append(Gate("y", (0,)))
+    fresh_copy.append(Gate("y", (0,)))
+    after = compile_key(circuit, topology, config)
+    assert after != before
+    assert after == compile_key(fresh_copy, topology, config)
+    assert pickle.dumps(circuit) == pickle.dumps(fresh_copy)
 
 
 # -- sensitivity: every semantic knob is in the key --------------------------------

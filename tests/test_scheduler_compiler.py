@@ -11,7 +11,10 @@ from repro.core import (
     compile_circuit,
     max_native_arity_for_distance,
 )
-from repro.core.errors import DisconnectedTopologyError
+from repro.core import scheduler
+from repro.core.errors import DisconnectedTopologyError, SchedulingStalledError
+from repro.core.result import CompiledProgram
+from repro.core.scheduler import schedule_circuit
 from repro.hardware import Grid, Topology
 from repro.workloads import bernstein_vazirani, build_circuit, cuccaro_adder
 
@@ -160,6 +163,57 @@ class TestCompilerPolicies:
         lost = topo.lost_sites
         for op in program.ops:
             assert not (set(op.sites) & lost)
+
+
+#: A hole pattern on the 10x10 MID-2 device on which compiling cnu-30
+#: livelocks: the router settles into a SWAP undone by the next one.
+LIVELOCK_LOST_SITES = (
+    5, 8, 13, 14, 17, 18, 19, 26, 34, 38, 44, 47, 48, 50, 52, 54, 57, 58,
+    62, 63, 64, 65, 74, 81, 83, 85, 86, 87, 91, 96, 99,
+)
+
+
+class TestSchedulerLivelock:
+    def test_livelock_stops_at_first_repeated_layout(self, monkeypatch):
+        calls = []
+        real_propose_swap = scheduler.propose_swap
+
+        def counting_propose_swap(*args, **kwargs):
+            calls.append(None)
+            return real_propose_swap(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "propose_swap", counting_propose_swap)
+        topo = Topology.square(10, 2.0)
+        for site in LIVELOCK_LOST_SITES:
+            topo.remove_atom(site)
+        with pytest.raises(SchedulingStalledError, match="repeats timestep"):
+            compile_circuit(build_circuit("cnu", 30), topo,
+                            CompilerConfig(max_interaction_distance=2.0))
+        # Running out the default 200 x (gates + 1) timestep budget
+        # instead costs about 6,000 proposals.
+        assert 0 < len(calls) < 100
+
+    def test_long_swap_only_route_still_compiles(self):
+        # Opposite ends of a 12-site MID-1 line, with a spectator qubit in
+        # the way: bringing the operands together takes a long run of
+        # SWAP-only timesteps, none of which may look like a livelock.
+        topo = Topology(Grid(1, 12), 1.0)
+        circuit = Circuit(3, [h(0), cx(0, 1), x(2), cx(2, 0)])
+        config = CompilerConfig(max_interaction_distance=1.0)
+        layout = {0: 0, 1: 11, 2: 5}
+        schedule, final_layout = schedule_circuit(circuit, topo, config, layout)
+        swap_only = [all(op.is_swap for op in step) for step in schedule]
+        longest_run = run = 0
+        for flag in swap_only:
+            run = run + 1 if flag else 0
+            longest_run = max(longest_run, run)
+        assert longest_run >= 8
+        program = CompiledProgram(
+            source=circuit, config=config, grid_shape=(1, 12),
+            initial_layout=layout, final_layout=final_layout,
+            schedule=schedule,
+        )
+        assert check_compiled(program)
 
 
 class TestMetricsTrends:

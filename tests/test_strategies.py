@@ -1,5 +1,8 @@
 """Behavioural tests for the six §VI atom-loss coping strategies."""
 
+import math
+import random
+
 import pytest
 
 from repro.core import CompilerConfig
@@ -222,3 +225,45 @@ class TestSuccessAccounting:
             VirtualRemap().shot_success_rate(NOISE)
         with pytest.raises(RuntimeError):
             VirtualRemap().current_used_sites()
+
+
+def _brute_force_violations(strategy):
+    """Every multiqubit op with some remapped operand pair beyond the
+    strategy's distance limit, scanned op by op and pair by pair."""
+    grid = strategy.topology.grid
+    limit = strategy._distance_limit() + 1e-9
+    translate = strategy.virtual_map.role_to_site
+    violated = []
+    for op in strategy.program.ops:
+        sites = [translate[s] for s in op.sites]
+        positions = [grid.position(s) for s in sites]
+        if any(
+            math.hypot(ra - rb, ca - cb) > limit
+            for i, (ra, ca) in enumerate(positions)
+            for rb, cb in positions[i + 1:]
+        ):
+            violated.append(op)
+    return violated
+
+
+class TestGroupedViolationScan:
+    @pytest.mark.parametrize("strategy_cls", [
+        VirtualRemap, MinorReroute, CompileSmall, CompileSmallReroute,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force_after_every_shift(self, strategy_cls, seed):
+        strategy, topo = started(strategy_cls(), mid=3.0, size=30)
+        order = sorted(topo.active_sites())
+        random.Random(seed).shuffle(order)
+        shifts = nonempty = 0
+        for site in order[:40]:
+            in_use = site in strategy.current_used_sites()
+            topo.remove_atom(site)
+            strategy.on_loss(site)
+            if not in_use:
+                continue
+            expected = _brute_force_violations(strategy)
+            assert strategy._violated_ops() == expected
+            shifts += 1
+            nonempty += bool(expected)
+        assert shifts >= 10 and nonempty >= 1
