@@ -418,7 +418,7 @@ def _cmd_cache(args) -> int:
     cache = session.cache
 
     if args.cache_command == "stats":
-        stats = cache.disk_stats()
+        stats = cache.disk.stats()
         print(f"cache directory: {stats['path']}")
         print(f"entries:         {stats['entries']}")
         print(f"total size:      {stats['total_bytes'] / 1e6:.2f} MB")
@@ -432,7 +432,7 @@ def _cmd_cache(args) -> int:
             print("--max-size must be >= 0", file=sys.stderr)
             return 2
         max_bytes = int(args.max_size * 1e6)
-        outcome = cache.prune_disk(max_bytes)
+        outcome = cache.disk.gc(max_bytes)
         print(f"removed {outcome['removed']} least-recently-used entries; "
               f"{outcome['remaining_entries']} remain "
               f"({outcome['remaining_bytes'] / 1e6:.2f} MB) in {cache.path}")
@@ -513,19 +513,18 @@ def _cmd_circuits(args) -> int:
         digest = args.digest
         if digest.startswith("circuit:"):
             digest = digest[len("circuit:"):]
-        matches = sorted({entry[0] for entry in circuits.entries()
-                          if entry[0].startswith(digest)})
-        if not matches:
+        try:
+            digest = circuits.resolve(digest)
+        except KeyError as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+        if digest is None:
             print(f"no stored circuit matches {args.digest!r} in "
                   f"{circuits.path}", file=sys.stderr)
             return 2
-        if len(matches) > 1:
-            print(f"digest prefix {args.digest!r} is ambiguous: "
-                  f"{', '.join(d[:16] for d in matches)}", file=sys.stderr)
-            return 2
-        text = circuits.get_qasm(matches[0])
+        text = circuits.get_qasm(digest)
         if text is None:
-            print(f"stored circuit {matches[0][:16]}… is unreadable",
+            print(f"stored circuit {digest[:16]}… is unreadable",
                   file=sys.stderr)
             return 2
         # The canonical QASM bytes — identical to GET /circuits/<digest>.
@@ -559,8 +558,7 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "ls":
-        rows = sorted(store.entries(), key=lambda r: (r[3], r[1]))
-        for key, _, size, _ in rows:
+        for key, _, size, _ in store.entries():
             # peek, not get: a listing must not refresh every entry's
             # recency and flatten the LRU order gc evicts by.
             envelope = store.peek(key) or {}
@@ -574,20 +572,18 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "show":
-        matches = sorted({key for key, _, _, _ in store.entries()
-                          if key.startswith(args.key)})
-        if not matches:
+        try:
+            key = store.resolve(args.key)
+        except KeyError as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+        if key is None:
             print(f"no stored result matches key {args.key!r} in "
                   f"{store.path}", file=sys.stderr)
             return 2
-        if len(matches) > 1:
-            print(f"key prefix {args.key!r} is ambiguous: "
-                  f"{', '.join(k[:16] for k in matches)}", file=sys.stderr)
-            return 2
-        envelope = store.peek(matches[0])
+        envelope = store.peek(key)
         if envelope is None:
-            print(f"stored entry {matches[0]} is unreadable",
-                  file=sys.stderr)
+            print(f"stored entry {key} is unreadable", file=sys.stderr)
             return 2
         if args.format == "json":
             # Byte-identical to `run <x> --format json` for this entry.
@@ -596,7 +592,7 @@ def _cmd_store(args) -> int:
         try:
             result = ExperimentResult.from_dict(envelope)
         except (TypeError, ValueError) as error:
-            print(f"cannot decode stored entry {matches[0][:16]}…: {error}",
+            print(f"cannot decode stored entry {key[:16]}…: {error}",
                   file=sys.stderr)
             return 2
         print(result.format())
@@ -636,8 +632,7 @@ def _cmd_trace(args) -> int:
     traces = TraceStore(_resolve_trace_dir(args.trace_dir))
 
     if args.trace_command == "ls":
-        rows = traces.traces()
-        for trace_id, _, _ in rows:
+        for trace_id, _, _, _ in traces.entries():
             spans = traces.read(trace_id)
             root = next((span for span in spans
                          if span.get("parent") is None), None)
@@ -646,7 +641,7 @@ def _cmd_trace(args) -> int:
             print(f"{trace_id}  {len(spans):4d} span(s)  {label:14s} "
                   f"[{', '.join(services)}]")
         stats = traces.stats()
-        print(f"{stats['traces']} recorded trace(s), "
+        print(f"{stats['entries']} recorded trace(s), "
               f"{stats['total_bytes'] / 1e3:.1f} kB in {stats['path']}")
         return 0
 
@@ -655,7 +650,7 @@ def _cmd_trace(args) -> int:
         try:
             trace_id = traces.resolve(prefix)
         except KeyError as error:
-            print(str(error), file=sys.stderr)
+            print(error.args[0], file=sys.stderr)
             return 2
         if trace_id is None:
             print(f"no recorded trace matches {args.id!r} in {traces.path}",

@@ -11,48 +11,37 @@ What is stored is the **canonical QASM text** (``to_qasm(from_qasm(
 upload))``), not the upload verbatim: comments, blank lines, and
 whitespace are not part of program identity, so two uploads differing
 only in those collapse to one entry, and ``GET /circuits/<digest>``
-returns byte-identical text everywhere.  Writes are atomic (temp file +
-``os.replace``), re-adding an existing digest is a no-op (idempotent
-uploads), and :meth:`gc` bounds the directory with the shared
-LRU-by-mtime policy from :mod:`repro.exec.diskutil`.
+returns byte-identical text everywhere.  The on-disk layout, atomic
+writes and LRU gc are the shared :class:`repro.blobstore.BlobStore`
+ones (``<digest[:2]>/<digest>.qasm``).
 
 Reads re-verify: :meth:`get` re-digests the parsed circuit and treats a
 mismatch (torn write, tampered file) as a miss rather than silently
-running the wrong program under a right-looking name.
+running the wrong program under a right-looking name.  Re-adding a
+digest is a no-op only over an entry that verifies; a corrupt entry is
+rewritten, so a re-upload heals it.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional
 
+from repro.blobstore import BlobStore
 from repro.circuits.circuit import Circuit
 from repro.circuits.digest import circuit_digest, is_circuit_digest
 from repro.circuits.qasm import from_qasm, to_qasm
-from repro.exec.diskutil import lru_evict, sweep_stale_temp_files
 
 #: Environment variable naming the default circuit-store directory.
 CIRCUIT_DIR_ENV = "REPRO_CIRCUIT_DIR"
 
 
-class CircuitStore:
+class CircuitStore(BlobStore):
     """On-disk circuits keyed by canonical gate-stream digest."""
 
     def __init__(self, path: str):
-        self.path = os.path.abspath(path)
-        self._warned_unwritable = False
-
-    def _warn_unwritable(self, error: OSError) -> None:
-        if self._warned_unwritable:
-            return
-        self._warned_unwritable = True
-        print(f"[circuit store {self.path} is not writable ({error}); "
-              "uploads will not persist]", file=sys.stderr)
-
-    def _file_for(self, digest: str) -> str:
-        return os.path.join(self.path, digest[:2], digest + ".qasm")
+        super().__init__(path, ".qasm", "circuit store",
+                         "uploads will not persist")
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -68,30 +57,12 @@ class CircuitStore:
         return self.add_circuit(from_qasm(qasm_text))
 
     def add_circuit(self, circuit: Circuit) -> str:
-        """Ingest an in-memory circuit; returns the digest.  Idempotent."""
+        """Ingest an in-memory circuit; returns the digest.  Writes
+        unless a verified entry already exists, so a corrupt entry is
+        replaced rather than kept forever."""
         digest = circuit_digest(circuit)
-        target = self._file_for(digest)
-        if os.path.exists(target):
-            return digest
-        directory = os.path.dirname(target)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".qasm"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8",
-                               newline="") as handle:
-                    handle.write(to_qasm(circuit))
-                os.replace(temp_path, target)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError as error:
-            self._warn_unwritable(error)
+        if self.get(digest) is None:
+            self.write_blob(digest, to_qasm(circuit).encode("utf-8"))
         return digest
 
     # -- retrieval ---------------------------------------------------------------
@@ -100,13 +71,11 @@ class CircuitStore:
         """The stored canonical QASM text for ``digest``, or ``None``."""
         if not is_circuit_digest(digest):
             return None
+        data = self.read_blob(digest)
         try:
-            with open(self._file_for(digest), "r",
-                      encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError:
+            return None if data is None else data.decode("utf-8")
+        except UnicodeDecodeError:
             return None
-        return text
 
     def get(self, digest: str) -> Optional[Circuit]:
         """The circuit stored under ``digest``, or ``None``.
@@ -125,52 +94,11 @@ class CircuitStore:
             return None
         if circuit_digest(circuit) != digest:
             return None
-        try:
-            os.utime(self._file_for(digest))
-        except OSError:
-            pass
+        self.touch(digest)
         return circuit
 
     def has(self, digest: str) -> bool:
+        """Cheap existence check (no parse, no verification) for the
+        store-hit path; :meth:`get` is the verified read."""
         return (is_circuit_digest(digest)
-                and os.path.exists(self._file_for(digest)))
-
-    # -- maintenance -------------------------------------------------------------
-
-    def entries(self) -> List[Tuple[str, str, int, float]]:
-        """Every stored circuit as ``(digest, path, bytes, mtime)``."""
-        rows = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".qasm") or name.startswith(".tmp-"):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                rows.append((name[:-len(".qasm")], target,
-                             info.st_size, info.st_mtime))
-        return rows
-
-    def stats(self) -> Dict[str, Any]:
-        rows = self.entries()
-        return {
-            "path": self.path,
-            "entries": len(rows),
-            "total_bytes": sum(size for _, _, size, _ in rows),
-        }
-
-    def gc(self, max_bytes: int) -> Dict[str, int]:
-        """Evict least-recently-used circuits until the store fits
-        ``max_bytes`` (shared policy: :mod:`repro.exec.diskutil`)."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        sweep_stale_temp_files(self.path, max_age_seconds=3600.0)
-        return lru_evict(
-            [(path, size, mtime) for _, path, size, mtime in self.entries()],
-            max_bytes,
-        )
-
-    def __repr__(self) -> str:
-        return f"CircuitStore({self.path!r})"
+                and os.path.exists(self.path_for(digest)))

@@ -218,7 +218,9 @@ class FleetWorker:
             quick=bool(claimed.get("quick")),
             overrides=claimed.get("params", {}))
         for digest in sorted(set(iter_circuit_digests(resolved))):
-            if session.circuits.has(digest):
+            # get(), not has(): a corrupt local entry must be refetched
+            # (the add below rewrites it), or every job naming it fails.
+            if session.circuits.get(digest) is not None:
                 continue
             stored = session.circuits.add(
                 self.client.fetch_circuit(digest))

@@ -1,10 +1,11 @@
 """Append-only JSONL trace sink — where spans land on disk.
 
-Layout mirrors the result store and compile cache: one file per trace,
-sharded as ``<trace_id[:2]>/<trace_id>.jsonl``, each line one span
-record (see :func:`repro.obs.trace.span_record`).  Appends are
-line-atomic on POSIX (single ``write`` of one ``\\n``-terminated line in
-append mode), so concurrent emitters — the server's request threads,
+The layout is the one every store shares
+(:class:`repro.blobstore.BlobStore`): one file per trace, sharded as
+``<trace_id[:2]>/<trace_id>.jsonl``, each line one span record (see
+:func:`repro.obs.trace.span_record`).  Appends are line-atomic on
+POSIX (single ``write`` of one ``\\n``-terminated line in append
+mode), so concurrent emitters — the server's request threads,
 the job queue, spawn-pool workers on the same host — interleave whole
 records, never torn ones.
 
@@ -17,31 +18,21 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
+from repro.blobstore import BlobStore
 from repro.obs.trace import is_trace_id
 
 #: Environment variable naming the default trace-sink directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 
-class TraceStore:
+class TraceStore(BlobStore):
     """On-disk trace sink: one JSONL file per trace id."""
 
     def __init__(self, path: str):
-        self.path = os.path.abspath(path)
-        self._warned_unwritable = False
-
-    def _warn_unwritable(self, error: OSError) -> None:
-        if self._warned_unwritable:
-            return
-        self._warned_unwritable = True
-        print(f"[trace store {self.path} is not writable ({error}); "
-              "spans will be dropped]", file=sys.stderr)
-
-    def _file_for(self, trace_id: str) -> str:
-        return os.path.join(self.path, trace_id[:2], trace_id + ".jsonl")
+        super().__init__(path, ".jsonl", "trace store",
+                         "spans will be dropped")
 
     # -- writing -----------------------------------------------------------------
 
@@ -50,14 +41,14 @@ class TraceStore:
         trace_id = record.get("trace")
         if not is_trace_id(trace_id):
             return
-        target = self._file_for(trace_id)
+        target = self.path_for(trace_id)
         try:
             os.makedirs(os.path.dirname(target), exist_ok=True)
             line = json.dumps(record, sort_keys=True) + "\n"
             with open(target, "a", encoding="utf-8") as handle:
                 handle.write(line)
         except OSError as error:
-            self._warn_unwritable(error)
+            self.warn_unwritable(error)
 
     def ingest(self, records, observer=None) -> int:
         """Append a batch of externally-produced records (``POST
@@ -86,16 +77,11 @@ class TraceStore:
         """Every span of one trace, sorted by start time (stable on the
         span id so concurrent same-stamp spans order deterministically).
         Empty when the trace is unknown."""
-        if not is_trace_id(trace_id):
-            return []
-        try:
-            with open(self._file_for(trace_id), "r",
-                      encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
+        data = self.read_blob(trace_id) if is_trace_id(trace_id) else None
+        if data is None:
             return []
         spans = []
-        for line in lines:
+        for line in data.decode("utf-8", "replace").split("\n"):
             try:
                 record = json.loads(line)
             except ValueError:
@@ -104,49 +90,3 @@ class TraceStore:
                 spans.append(record)
         spans.sort(key=lambda s: (s.get("start", 0.0), str(s.get("span"))))
         return spans
-
-    def resolve(self, prefix: str) -> Optional[str]:
-        """The unique trace id starting with ``prefix`` (CLI ``trace
-        show`` convenience, like ``store show``), or ``None``; raises
-        ``KeyError`` listing candidates when ambiguous."""
-        if is_trace_id(prefix):
-            return prefix if os.path.exists(self._file_for(prefix)) else None
-        matches = [tid for tid, _, _ in self.traces()
-                   if tid.startswith(prefix)]
-        if not matches:
-            return None
-        if len(matches) > 1:
-            raise KeyError(
-                f"trace prefix {prefix!r} is ambiguous: "
-                + ", ".join(sorted(matches)[:5]))
-        return matches[0]
-
-    def traces(self) -> List[Tuple[str, int, float]]:
-        """Every stored trace as ``(trace_id, spans_bytes, mtime)``."""
-        rows = []
-        for dirpath, _, filenames in os.walk(self.path):
-            for name in filenames:
-                if not name.endswith(".jsonl"):
-                    continue
-                trace_id = name[:-len(".jsonl")]
-                if not is_trace_id(trace_id):
-                    continue
-                target = os.path.join(dirpath, name)
-                try:
-                    info = os.stat(target)
-                except OSError:
-                    continue
-                rows.append((trace_id, info.st_size, info.st_mtime))
-        rows.sort(key=lambda row: (row[2], row[0]))
-        return rows
-
-    def stats(self) -> Dict[str, Any]:
-        rows = self.traces()
-        return {
-            "path": self.path,
-            "traces": len(rows),
-            "total_bytes": sum(size for _, size, _ in rows),
-        }
-
-    def __repr__(self) -> str:
-        return f"TraceStore({self.path!r})"

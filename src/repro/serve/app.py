@@ -318,7 +318,9 @@ class ServeApp:
         except ValueError as error:
             return _error(400, str(error), "ValueError")
         digest = circuit_digest(circuit)
-        known = self.circuits.has(digest)
+        # A verified read, not has(): a corrupt entry counts as absent,
+        # so a re-upload rewrites it and reports created.
+        known = self.circuits.get(digest) is not None
         if not known:
             self.circuits.add_circuit(circuit)
         self.metrics.count("circuits_uploaded")
@@ -515,11 +517,11 @@ class ServeApp:
         if self.traces is None:
             return _error(404, "tracing is not enabled on this server "
                                "(start it with --trace-dir)")
-        rows = self.traces.traces()
+        rows = self.traces.entries()
         return _json_response(200, {
             "count": len(rows),
             "traces": [{"id": trace_id, "bytes": size}
-                       for trace_id, size, _ in rows[-RECENT_WINDOW:]],
+                       for trace_id, _, size, _ in rows[-RECENT_WINDOW:]],
         })
 
     def _trace(self, trace_id: str) -> Response:

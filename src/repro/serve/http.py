@@ -31,7 +31,7 @@ from repro.api.store import ResultStore
 from repro.exec.cache import CompileCache
 from repro.fleet.protocol import DEFAULT_LEASE_TTL
 from repro.obs import TRACE_HEADER, Tracer, TraceStore
-from repro.serve.app import ServeApp
+from repro.serve.app import ServeApp, _error
 from repro.serve.jobs import JobQueue
 from repro.serve.metrics import ServeMetrics
 from repro.serve.sweeps import SweepTable
@@ -44,10 +44,22 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self) -> None:
+        raw_length = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(raw_length)
         except ValueError:
-            length = 0
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so whatever follows on this
+            # keep-alive connection cannot be framed: answer and close,
+            # never parse the unread bytes as a next request.
+            response = _error(400, f"malformed Content-Length header "
+                                   f"{raw_length!r}: expected a "
+                                   f"non-negative integer")
+            # Sending "Connection: close" sets close_connection.
+            response.headers["Connection"] = "close"
+            self._send(response)
+            return
         body = self.rfile.read(length) if length > 0 else b""
         response = self.server.app.handle(
             self.command, self.path, body,
@@ -55,6 +67,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if response.stream is not None:
             self._stream(response)
             return
+        self._send(response)
+
+    def _send(self, response) -> None:
         self.send_response(response.status)
         # JSON is the default; a route serving another media type
         # (GET /circuits/<digest> returns QASM text) sets its own.

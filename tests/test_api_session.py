@@ -51,8 +51,8 @@ class TestIsolation:
         assert program_a is not program_b
         assert a.cache.stats()["misses"] == 1
         assert b.cache.stats()["misses"] == 1
-        assert a.cache.disk_stats()["entries"] == 1
-        assert b.cache.disk_stats()["entries"] == 1
+        assert a.cache.disk.stats()["entries"] == 1
+        assert b.cache.disk.stats()["entries"] == 1
         assert a.cache.path != b.cache.path
         # ... but produced identical artifacts.
         assert program_a.schedule == program_b.schedule

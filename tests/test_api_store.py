@@ -358,7 +358,7 @@ class TestConcurrentPersistence:
         # ... and the race left no orphaned temp files behind.
         import os
 
-        shard = os.path.dirname(store._file_for(key))
+        shard = os.path.dirname(store.path_for(key))
         assert [name for name in os.listdir(shard)
                 if name.startswith(".tmp-")] == []
 

@@ -130,6 +130,20 @@ class TestCircuitStore:
         # The stored bytes no longer digest to their address: refuse.
         assert store.get(digest) is None
 
+    def test_re_adding_heals_a_corrupt_entry(self, tmp_path):
+        store = CircuitStore(str(tmp_path))
+        text = to_qasm(_sample_circuit())
+        digest = store.add(text)
+        with open(store.path_for(digest), "w", encoding="utf-8") as handle:
+            handle.write("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n")
+        assert store.get(digest) is None
+        assert store.has(digest)  # has() stays a cheap existence check
+        # Re-adding the same program rewrites the entry that no longer
+        # verifies, instead of trusting that a file exists.
+        assert store.add(text) == digest
+        assert circuit_digest(store.get(digest)) == digest
+        assert store.get_qasm(digest) == text
+
     def test_gc_evicts_down_to_budget(self, tmp_path):
         store = CircuitStore(str(tmp_path))
         for width in range(2, 8):

@@ -62,7 +62,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     with Session(cache_dir=str(tmp_path)).activate() as session:
         cached_compile(circuit, topology, config)
         key = compile_key(circuit, topology, config)
-        entry = session.cache._file_for(key)
+        entry = session.cache.disk.path_for(key)
     with open(entry, "wb") as handle:
         handle.write(b"not a pickle")
 
@@ -74,7 +74,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
 
 def test_non_program_pickle_is_a_miss(tmp_path):
     cache = CompileCache(str(tmp_path))
-    target = cache._file_for("ab" + "0" * 62)
+    target = cache.disk.path_for("ab" + "0" * 62)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     with open(target, "wb") as handle:
         pickle.dump({"not": "a program"}, handle)
@@ -95,17 +95,20 @@ def test_persist_false_stores_nothing(tmp_path):
         assert cached_compile(circuit, topology, config, persist=False) is stored
 
 
-def test_unwritable_cache_dir_degrades_to_memory(tmp_path):
+def test_unwritable_cache_dir_degrades_to_memory(tmp_path, capsys):
+    # A regular file where the cache's parent directory should be blocks
+    # every write, for root too (permission bits do not bind as root).
     blocked = tmp_path / "blocked"
-    blocked.mkdir()
-    os.chmod(blocked, 0o500)
-    try:
-        circuit, topology, config = _inputs()
-        with Session(cache_dir=str(blocked)).activate():
-            program = cached_compile(circuit, topology, config)
+    blocked.write_bytes(b"")
+    _, topology, config = _inputs()
+    with Session(cache_dir=str(blocked / "cache")).activate():
+        for size in (6, 7):
+            program = cached_compile(build_circuit("bv", size), topology,
+                                     config)
             assert program.op_count > 0
-    finally:
-        os.chmod(blocked, 0o700)
+    # The degrade is observable, like the other stores' — once, not per
+    # write.
+    assert capsys.readouterr().err.count("not writable") == 1
 
 
 def test_mid_mismatch_normalized_like_compile_circuit(tmp_path):
@@ -168,7 +171,7 @@ def _fill_cache(tmp_path, sizes=(4, 6, 8)):
 
 def test_disk_stats_counts_entries(tmp_path):
     cache = _fill_cache(tmp_path)
-    stats = cache.disk_stats()
+    stats = cache.disk.stats()
     assert stats["entries"] == 3
     assert stats["total_bytes"] > 0
     assert stats["path"] == str(tmp_path)
@@ -177,22 +180,22 @@ def test_disk_stats_counts_entries(tmp_path):
 def test_clear_disk_removes_everything(tmp_path):
     cache = _fill_cache(tmp_path)
     assert cache.clear_disk() == 3
-    assert cache.disk_stats()["entries"] == 0
+    assert cache.disk.stats()["entries"] == 0
 
 
 def test_prune_disk_evicts_lru_first(tmp_path):
     cache = _fill_cache(tmp_path)
-    entries = sorted(cache.disk_entries(), key=lambda e: (e[2], e[0]))
+    entries = cache.disk.entries()
     # Make the recency order deterministic regardless of filesystem
     # timestamp granularity.
-    for age, (path, _, _) in enumerate(reversed(entries)):
+    for age, (_, path, _, _) in enumerate(reversed(entries)):
         os.utime(path, (1_000_000 + age, 1_000_000 + age))
-    entries = sorted(cache.disk_entries(), key=lambda e: (e[2], e[0]))
-    keep_bytes = entries[-1][1]  # newest entry only
-    outcome = cache.prune_disk(keep_bytes)
+    entries = cache.disk.entries()
+    keep_bytes = entries[-1][2]  # newest entry only
+    outcome = cache.disk.gc(keep_bytes)
     assert outcome["removed"] == 2
     assert outcome["remaining_entries"] == 1
-    remaining = cache.disk_entries()
+    remaining = cache.disk.entries()
     assert len(remaining) == 1
     assert remaining[0][0] == entries[-1][0]
 
@@ -202,21 +205,21 @@ def test_prune_disk_same_mtime_ties_break_on_path(tmp_path):
     one burst with the *same* mtime; eviction order must stay
     deterministic via the path tie-break, run after run."""
     cache = _fill_cache(tmp_path)
-    paths = sorted(path for path, _, _ in cache.disk_entries())
+    paths = sorted(path for _, path, _, _ in cache.disk.entries())
     for path in paths:
         os.utime(path, (1_000_000, 1_000_000))  # exact three-way tie
-    keep_two = sum(size for _, size, _ in cache.disk_entries()) - 1
-    outcome = cache.prune_disk(keep_two)
+    keep_two = sum(size for _, _, size, _ in cache.disk.entries()) - 1
+    outcome = cache.disk.gc(keep_two)
     assert outcome["removed"] == 1
     # The lexicographically smallest path is evicted first.
-    assert sorted(p for p, _, _ in cache.disk_entries()) == paths[1:]
+    assert sorted(p for _, p, _, _ in cache.disk.entries()) == paths[1:]
 
 
 def test_prune_disk_noop_under_budget(tmp_path):
     cache = _fill_cache(tmp_path)
-    outcome = cache.prune_disk(10**9)
+    outcome = cache.disk.gc(10**9)
     assert outcome["removed"] == 0
-    assert cache.disk_stats()["entries"] == 3
+    assert cache.disk.stats()["entries"] == 3
 
 
 def test_clear_and_prune_sweep_orphaned_temp_files(tmp_path):
@@ -224,32 +227,32 @@ def test_clear_and_prune_sweep_orphaned_temp_files(tmp_path):
     files; maintenance must reclaim them or the tier stays over budget
     forever."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     orphan = os.path.join(shard, ".tmp-orphan.pkl")
     with open(orphan, "wb") as handle:
         handle.write(b"x" * 100)
     os.utime(orphan, (1, 1))  # long-dead writer
 
-    cache.prune_disk(10**9)  # under budget: entries stay, orphan goes
+    cache.disk.gc(10**9)  # under budget: entries stay, orphan goes
     assert not os.path.exists(orphan)
-    assert cache.disk_stats()["entries"] == 3
+    assert cache.disk.stats()["entries"] == 3
 
     with open(orphan, "wb") as handle:
         handle.write(b"x")
     os.utime(orphan, (1, 1))  # long-dead writer again
     cache.clear_disk()
     assert not os.path.exists(orphan)
-    assert cache.disk_stats()["entries"] == 0
+    assert cache.disk.stats()["entries"] == 0
 
 
 def test_prune_keeps_fresh_temp_files(tmp_path):
     """A temp file a live writer just created must not be swept."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     in_flight = os.path.join(shard, ".tmp-inflight.pkl")
     with open(in_flight, "wb") as handle:
         handle.write(b"x")
-    cache.prune_disk(10**9)
+    cache.disk.gc(10**9)
     assert os.path.exists(in_flight)
 
 
@@ -258,10 +261,10 @@ def test_clear_keeps_same_second_temp_files(tmp_path):
     file a live writer touched in the same second as the clear used to
     fall to the `<=` cutoff and be swept mid-write.  It must survive."""
     cache = _fill_cache(tmp_path)
-    shard = os.path.dirname(cache.disk_entries()[0][0])
+    shard = os.path.dirname(cache.disk.entries()[0][1])
     in_flight = os.path.join(shard, ".tmp-live-writer.pkl")
     with open(in_flight, "wb") as handle:
         handle.write(b"x")  # mtime == "now", possibly floored to 1s
     assert cache.clear_disk() == 3
     assert os.path.exists(in_flight)
-    assert cache.disk_stats()["entries"] == 0
+    assert cache.disk.stats()["entries"] == 0

@@ -695,6 +695,21 @@ class TestFleetCircuitFetch:
         assert worker.jobs_done == 2
         assert circuits.stats()["entries"] == 1  # fetched exactly once
 
+    def test_corrupt_local_circuit_is_refetched(self, base, tmp_path):
+        digest = self._upload(base)
+        worker, circuits = self._worker(base, tmp_path, "w-heal")
+        circuits.write_blob(digest, b"corrupt")
+        assert circuits.has(digest) and circuits.get(digest) is None
+        status, _, body = _post(base, "/run", experiment="workload-metrics",
+                                quick=True, wait=False,
+                                params={"workload": f"circuit:{digest}",
+                                        "mids": [2.0]})
+        assert status == 202
+        assert worker.run(max_jobs=1) == 1
+        job = _wait_for_job(base, json.loads(body)["id"])
+        assert job["status"] == DONE
+        assert circuits.get(digest) is not None
+
     def test_fetch_of_unknown_digest_is_a_runtime_error(self, base):
         client = WorkerClient(base, "w-miss")
         with pytest.raises(RuntimeError, match="404"):

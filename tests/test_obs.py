@@ -16,9 +16,7 @@ Three layers of contract:
 """
 
 import json
-import os
 import re
-import stat
 import threading
 import time
 import urllib.error
@@ -258,7 +256,7 @@ class TestTraceStore:
         store = self._store(tmp_path)
         store.emit({"name": "orphan"})
         store.emit({"trace": "not-an-id", "name": "bad"})
-        assert store.traces() == []
+        assert store.entries() == []
 
     def test_ingest_counts_only_wellformed_records(self, tmp_path):
         store = self._store(tmp_path)
@@ -292,26 +290,22 @@ class TestTraceStore:
         store = self._store(tmp_path)
         trace_id = new_trace_id()
         store.emit(span_record(trace_id, "a" * 16, None, "x", "s", 1.0, 0.1))
-        rows = store.traces()
+        rows = store.entries()
         assert [row[0] for row in rows] == [trace_id]
         stats = store.stats()
-        assert stats["traces"] == 1
-        assert stats["total_bytes"] == rows[0][1] > 0
+        assert stats["entries"] == 1
+        assert stats["total_bytes"] == rows[0][2] > 0
 
     def test_unwritable_directory_degrades_to_dropping(self, tmp_path,
                                                        capsys):
-        if os.geteuid() == 0:
-            pytest.skip("permission bits do not bind as root")
-        target = tmp_path / "sealed"
-        target.mkdir()
-        target.chmod(stat.S_IRUSR | stat.S_IXUSR)
-        try:
-            store = TraceStore(str(target))
-            for _ in range(3):
-                store.emit(span_record(new_trace_id(), "a" * 16, None,
-                                       "x", "s", 1.0, 0.1))
-        finally:
-            target.chmod(stat.S_IRWXU)
+        # A regular file where the store's directory should be blocks
+        # every write, for root too (permission bits do not bind as root).
+        blocked = tmp_path / "sealed"
+        blocked.write_bytes(b"")
+        store = TraceStore(str(blocked / "traces"))
+        for _ in range(3):
+            store.emit(span_record(new_trace_id(), "a" * 16, None,
+                                   "x", "s", 1.0, 0.1))
         err = capsys.readouterr().err
         assert err.count("not writable") == 1  # warn once, never raise
 
@@ -696,7 +690,7 @@ class TestServeAppTracing:
         try:
             response = app.handle("GET", "/healthz")
             assert TRACE_HEADER not in response.headers
-            assert app.tracer.sink.traces() == []
+            assert app.tracer.sink.entries() == []
         finally:
             app.jobs.shutdown()
 
@@ -872,13 +866,13 @@ class TestEndToEndTracing:
             self, stack):
         base, trace_dir = stack
         store = TraceStore(trace_dir)
-        before = {row[0] for row in store.traces()}
+        before = {row[0] for row in store.entries()}
         remote = RemoteSession(base)
         remote.run("validation", quick=True)
         assert remote.last_trace_id is None
         # The server may mint its own trace for the POST /run, but the
         # untraced client neither sent a header nor exported spans.
-        for trace_id in {row[0] for row in store.traces()} - before:
+        for trace_id in {row[0] for row in store.entries()} - before:
             services = {record["service"]
                         for record in store.read(trace_id)}
             assert "client" not in services
@@ -948,7 +942,7 @@ class TestTraceCLI:
         assert main(["store", "ls", "--last", "1",
                      "--store-dir", store_dir]) == 0
         out = capsys.readouterr().out
-        traces = TraceStore(trace_dir).traces()
+        traces = TraceStore(trace_dir).entries()
         assert f"trace {traces[0][0][:12]}" in out
 
     def test_stdout_is_byte_identical_with_tracing_on(self, tmp_path,

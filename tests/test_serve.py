@@ -470,6 +470,40 @@ def _post_circuit(base_url, text):
                 json.loads(response.read()))
 
 
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes on one connection; everything the server wrote
+    before closing it."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedContentLength:
+    """A body whose length cannot be parsed must not be left on the
+    keep-alive connection to run as a second request."""
+
+    SMUGGLED = (b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n")
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_one_400_then_close(self, server, length):
+        reply = _raw_exchange(
+            server.port,
+            b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: " + length
+            + b"\r\n\r\n" + self.SMUGGLED)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length header" in reply
+        assert b'"status": "ok"' not in reply
+
+
 class TestCircuitsEndpoint:
     def test_upload_is_idempotent(self, base):
         status, headers, first = _post_circuit(base, SAMPLE_QASM)
@@ -481,6 +515,21 @@ class TestCircuitsEndpoint:
         _, _, again = _post_circuit(base, "// note\n" + SAMPLE_QASM)
         assert again["digest"] == first["digest"]
         assert again["created"] is False
+
+    def test_upload_heals_a_corrupt_entry(self, base, server):
+        _, _, first = _post_circuit(base, SAMPLE_QASM)
+        digest = first["digest"]
+        with open(server.app.circuits.path_for(digest), "w",
+                  encoding="utf-8") as handle:
+            handle.write("corrupt")
+        # No verified entry existed, so the upload writes and says so.
+        _, _, again = _post_circuit(base, SAMPLE_QASM)
+        assert again["digest"] == digest
+        assert again["created"] is True
+        status, _, body = _get(f"{base}/circuits/{digest}")
+        assert status == 200
+        assert server.app.circuits.get(digest) is not None
+        assert body.decode("utf-8") == server.app.circuits.get_qasm(digest)
 
     def test_get_returns_canonical_text(self, base):
         from repro.circuits import from_qasm, to_qasm
